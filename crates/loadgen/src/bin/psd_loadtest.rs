@@ -4,7 +4,7 @@
 //! ```text
 //! psd_loadtest [--scenario steady] [--duration 10s] [--warmup 3s]
 //!              [--connections 64] [--rate R] [--deltas 1,2]
-//!              [--workers W] [--engine threads|reactor|uring] [--shards N]
+//!              [--workers W] [--engine reactor|uring] [--shards N]
 //!              [--controller open|feedback] [--gain G]
 //!              [--admission-cap C] [--work-unit-us U] [--seed N]
 //!              [--trace-sample P] [--obs-scrape DIR]
@@ -18,13 +18,12 @@
 //!   --connections  connection pool size (open) / sessions (closed)
 //!   --rate         override the scenario's aggregate arrival rate
 //!   --deltas       comma-separated differentiation parameters
-//!   --engine       HTTP front-end engine under test: threads
-//!                  (one thread per connection, the baseline),
-//!                  reactor (epoll event loop), or uring (io_uring
-//!                  completion plane; falls back to reactor when the
-//!                  kernel refuses io_uring)     (default: threads)
+//!   --engine       HTTP front-end engine under test: reactor (epoll
+//!                  event loops) or uring (io_uring completion plane;
+//!                  falls back to reactor when the kernel refuses
+//!                  io_uring)                    (default: reactor)
 //!   --shards       reactor event-loop shard count
-//!                  (default: min(cores, 4); threads engine ignores)
+//!                  (default: min(cores, 4))
 //!   --controller   rate-controller family driving the monitor: open
 //!                  (Eq. 17) or feedback (slowdown integral loop);
 //!                  gain 0 makes feedback identical to open
@@ -134,7 +133,7 @@ fn main() {
                     args.next()
                         .as_deref()
                         .and_then(EngineKind::parse)
-                        .unwrap_or_else(|| die("--engine needs 'threads', 'reactor' or 'uring'")),
+                        .unwrap_or_else(|| die("--engine needs 'reactor' or 'uring'")),
                 );
             }
             "--shards" => {
@@ -222,7 +221,7 @@ fn main() {
                 println!(
                     "usage: psd_loadtest [--scenario NAME] [--duration 10s] [--warmup 3s] \
                      [--connections N] [--rate R] [--deltas 1,2] [--workers W] \
-                     [--engine threads|reactor|uring] [--shards N] \
+                     [--engine reactor|uring] [--shards N] \
                      [--controller open|feedback] [--gain G] [--admission-cap C] \
                      [--work-unit-us U] [--control-window-ms M] [--seed N] \
                      [--trace-sample P] [--obs-scrape DIR] \

@@ -70,13 +70,11 @@ pub struct ClassReport {
 pub struct LoadReport {
     /// Scenario name.
     pub scenario: String,
-    /// Front-end engine under test (`"threads"` or `"reactor"`), so
-    /// `BENCH_loadgen.json` / `BENCH_reactor.json` are self-describing
+    /// Front-end engine under test (`"reactor"` or `"uring"`), so
+    /// `BENCH_reactor.json` / `BENCH_uring.json` are self-describing
     /// and the perf trajectory can track the engines separately.
     pub engine: String,
-    /// Reactor event-loop shards the run used (recorded even for the
-    /// threaded engine, which ignores it, so the JSON schema is
-    /// uniform).
+    /// Reactor event-loop shards the run used.
     pub shards: usize,
     /// Controller family driving the server's monitor (`"open"` or
     /// `"feedback"`).
@@ -337,10 +335,7 @@ impl LoadReport {
     /// Human-readable markdown summary.
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
-        let engine = match self.engine.as_str() {
-            "reactor" => format!("reactor engine ({} shard(s))", self.shards),
-            other => format!("{other} engine"),
-        };
+        let engine = format!("{} engine ({} shard(s))", self.engine, self.shards);
         let cap = self
             .admission_cap
             .map(|c| format!("admission cap {c:.2}"))

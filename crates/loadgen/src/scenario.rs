@@ -212,12 +212,12 @@ pub struct ServerProfile {
     /// Estimator history in windows.
     pub estimator_history: usize,
     /// Which HTTP front-end engine serves the run (`--engine` on the
-    /// CLI): thread-per-connection baseline or the epoll reactor. The
+    /// CLI): the epoll reactor (default) or its io_uring plane. The
     /// scenario itself is engine-agnostic — every catalog entry runs
     /// against both.
     pub engine: EngineKind,
-    /// Reactor event-loop shards (`--shards` on the CLI; ignored by
-    /// the threaded engine). Defaults to min(cores, 4).
+    /// Reactor event-loop shards (`--shards` on the CLI). Defaults to
+    /// min(cores, 4).
     pub shards: usize,
     /// Which controller family drives the server's monitor
     /// (`--controller {open,feedback}`).
@@ -248,7 +248,7 @@ impl Default for ServerProfile {
             scheduler: SchedulerKind::RatePartition,
             control_window: Duration::from_millis(500),
             estimator_history: 5,
-            engine: EngineKind::Threads,
+            engine: EngineKind::Reactor,
             shards: psd_server::default_shards(),
             controller: ControllerKind::Open,
             gain: 0.3,

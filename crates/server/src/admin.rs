@@ -53,10 +53,9 @@ const DEFAULT_TRACE_SPANS: usize = 512;
 /// Built from references so constructing one on the request path costs
 /// nothing.
 pub(crate) struct AdminInfo<'a> {
-    /// Engine token (`"threads"` | `"reactor"` | `"uring"`).
+    /// Engine token (`"reactor"` | `"uring"`).
     pub(crate) engine: &'static str,
-    /// Reactor event-loop shard counters, empty for the threaded
-    /// engine (both reactor backends fill them).
+    /// Reactor event-loop shard counters, one entry per shard.
     pub(crate) shard_stats: &'a [Arc<ReactorShardStats>],
     /// io_uring ring counters per shard, empty unless the uring
     /// backend is serving.

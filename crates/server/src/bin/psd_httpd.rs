@@ -3,7 +3,7 @@
 //! ```text
 //! psd_httpd [--addr 127.0.0.1:8080] [--deltas 1,2,4] [--workers 1]
 //!           [--work-unit-us 300] [--default-cost 1.0] [--spin]
-//!           [--engine threads|reactor|uring] [--shards N]
+//!           [--engine reactor|uring] [--shards N]
 //!           [--controller open|feedback] [--gain G] [--admission-cap C]
 //!           [--max-connections 1024] [--duration-s N]
 //!
@@ -12,14 +12,13 @@
 //! `X-Delay-Us` and `X-Slowdown` headers. HTTP/1.1 connections are
 //! kept alive.
 //!
-//! `--engine threads` (default) serves one blocking thread per
-//! connection; `--engine reactor` multiplexes connections over
+//! `--engine reactor` (default) multiplexes connections over
 //! `--shards N` epoll event-loop threads (default: min(cores, 4)),
 //! assigned round-robin; `--engine uring` runs the same sharded
 //! reactor on an io_uring completion plane (batched submissions,
 //! registered buffers) and falls back to `reactor` with a warning on
 //! kernels without io_uring. Past `--max-connections`, new arrivals
-//! are answered `503` + `Connection: close` on every engine.
+//! are answered `503` + `Connection: close` on both engines.
 //!
 //!   curl 'http://127.0.0.1:8080/class0/hello?cost=2'
 //! ```
@@ -53,7 +52,7 @@ fn main() {
     let mut work_unit_us = 300u64;
     let mut default_cost = 1.0f64;
     let mut workload = Workload::Sleep;
-    let mut engine = EngineKind::Threads;
+    let mut engine = EngineKind::Reactor;
     let mut shards = psd_server::default_shards();
     let mut controller = ControllerKind::Open;
     let mut gain = 0.3f64;
@@ -98,7 +97,7 @@ fn main() {
                     .next()
                     .as_deref()
                     .and_then(EngineKind::parse)
-                    .unwrap_or_else(|| die("--engine needs 'threads', 'reactor' or 'uring'"));
+                    .unwrap_or_else(|| die("--engine needs 'reactor' or 'uring'"));
             }
             "--shards" => {
                 shards = args
@@ -159,7 +158,7 @@ fn main() {
                 println!(
                     "usage: psd_httpd [--addr A] [--deltas 1,2,4] [--workers N] \
                      [--work-unit-us U] [--default-cost C] [--spin] \
-                     [--engine threads|reactor|uring] [--shards N] \
+                     [--engine reactor|uring] [--shards N] \
                      [--controller open|feedback] [--gain G] [--admission-cap C] \
                      [--max-connections N] [--duration-s N] [--probe-uring]"
                 );

@@ -7,14 +7,14 @@
 //! from [`psd_propshare`], with weights produced online by the PSD rate
 //! allocator from [`psd_core`].
 //!
-//! Architecture (mirrors paper Fig. 1, with two selectable front-end
-//! engines feeding the same dispatch core and two execution engines
-//! behind it):
+//! Architecture (mirrors paper Fig. 1, with one sharded reactor front
+//! end on a selectable I/O plane feeding the dispatch core and two
+//! execution engines behind it):
 //!
 //! ```text
 //!  clients / TCP                  front-end engines (FrontendConfig::engine)
 //!  ─────────────                 ┌────────────────────────────────────────────┐
-//!  driver::LoadDriver ────┐      │ threads: 1 blocking thread / connection    │
+//!  driver::LoadDriver ────┐      │ one sans-io connection state machine:      │
 //!                         │      │ reactor: N epoll shards (cfg.shards),      │
 //!  psd-loadgen / curl ─────────▶ │   round-robin fd assignment, sans-io       │
 //!                         │      │   codec, pooled buffers, coarse cached     │
@@ -78,9 +78,9 @@
 //! The wheel + sharded reactor + allocation-light request path (pooled
 //! codec/write buffers, in-place head parsing, direct-write responses,
 //! per-executor metrics shards) move the 5 s steady `psd_loadtest`
-//! smoke on one core from **5141 sent / ~1031 req/s** (PR 3, threads
-//! or single-loop reactor, offered-load-limited at its stable
-//! operating point) to **10977 sent / ~2172 req/s** (reactor ×2
+//! smoke on one core from **5141 sent / ~1031 req/s** (the retired
+//! thread-per-connection engine or the single-loop reactor,
+//! offered-load-limited at its stable operating point) to **10977 sent / ~2172 req/s** (reactor ×2
 //! shards, 250 µs work units, 2200 req/s offered), and the io_uring
 //! engine doubles the hot path again: **24137 sent / ~4850 req/s**
 //! (uring ×2 shards, 125 µs work units, 4800 req/s offered) — each
@@ -108,11 +108,11 @@
 //! let stats = server.shutdown();
 //! ```
 //!
-//! The blocking front-end engine, the sharded reactor (epoll shard
-//! loops and the io_uring completion loops share one structure) and
-//! their shared HTTP codec live in [`httplite`], [`reactor`] and
-//! [`codec`]; the `psd_httpd` binary selects between engines with
-//! `--engine {threads,reactor,uring}` (uring probes at startup and
+//! The front end, the sharded reactor (the epoll shard loops and the
+//! io_uring completion loops execute one connection state machine) and
+//! the HTTP codec live in [`httplite`], [`reactor`] and [`codec`]; the
+//! `psd_httpd` binary selects the I/O plane with
+//! `--engine {reactor,uring}` (uring probes at startup and
 //! falls back to the epoll reactor with a logged warning — exposed to
 //! scripts as `--probe-uring`), sizes the reactor with `--shards N`, and
 //! selects the control plane with `--controller {open,feedback}`,

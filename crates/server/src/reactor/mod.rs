@@ -30,9 +30,15 @@
 //! of that iteration with it (the coarse cached clock); per-connection
 //! idle bookkeeping never calls `clock_gettime` itself.
 //!
-//! The per-connection state machine, idle policy and drain semantics
-//! are unchanged from the single-loop reactor and live in [`shard`].
+//! The per-connection state machine, idle policy, drain rules and
+//! accept handoff live once, sans-io, in [`conn`]; [`shard`] (epoll)
+//! and [`uring`] (io_uring) only execute its steps on their I/O plane.
+//! Every shard builds its own I/O plane on its own thread — a ring set
+//! up on the caller's thread would tie io_uring task-work to it and
+//! interrupt its blocking syscalls — and reports setup errors back
+//! before any shard serves.
 
+mod conn;
 mod shard;
 mod uring;
 
@@ -40,7 +46,7 @@ use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -56,7 +62,7 @@ use uring::UringLoop;
 
 /// Which kernel interface drives the shard event loops. Both backends
 /// share [`Shared`] (mailbox, inbox, stop/exit protocol) and the
-/// per-connection state machine semantics; only the I/O plane differs.
+/// per-connection state machine in [`conn`]; only the I/O plane differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Backend {
     /// Readiness: `epoll_wait` + per-fd `read`/`write` syscalls.
@@ -76,7 +82,7 @@ pub(crate) const TICK: Duration = Duration::from_millis(100);
 
 /// During a drain, how long a mid-request connection may go without
 /// byte progress before it is closed anyway (see
-/// [`shard::ShardLoop::sweep_idle`]).
+/// [`conn::Machine::expired_keys`]).
 pub(crate) const DRAIN_GRACE: Duration = Duration::from_secs(1);
 
 /// State shared by every shard: the total live connection count backing
@@ -117,6 +123,20 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    pub(crate) fn new(global: &Arc<Global>) -> io::Result<Self> {
+        Ok(Self {
+            poller: Poller::new()?,
+            stop: AtomicBool::new(false),
+            mailbox: Mutex::new(Vec::new()),
+            inbox: Mutex::new(Inbox::default()),
+            exited: Mutex::new(false),
+            exited_cv: Condvar::new(),
+            global: Arc::clone(global),
+            stats: Arc::new(ReactorShardStats::default()),
+            uring_stats: Arc::new(UringStats::default()),
+        })
+    }
+
     /// Post a completion for `key` and ring the shard's eventfd only if
     /// the mailbox was empty — completions arriving while a wakeup is
     /// already pending coalesce into the same poller wake.
@@ -145,10 +165,11 @@ impl Handle {
     /// Spawn `cfg.shards` event loops on `backend`; shard 0 owns
     /// `listener` and assigns accepted connections round-robin.
     ///
-    /// For [`Backend::Uring`] every ring (and its registered buffer
-    /// arena) is created here, before any thread spawns — a kernel
-    /// that refuses io_uring fails this call and the caller falls back
-    /// to [`Backend::Epoll`] instead of limping half-started.
+    /// Each shard sets up its I/O plane (for [`Backend::Uring`], its
+    /// ring and registered buffer arena) on its own thread and reports
+    /// the result here. No shard serves until all have reported; one
+    /// failure stops them all and fails this call, so the caller falls
+    /// back to [`Backend::Epoll`] instead of limping half-started.
     pub(crate) fn start(
         listener: TcpListener,
         server: Arc<PsdServer>,
@@ -158,67 +179,69 @@ impl Handle {
         listener.set_nonblocking(true)?;
         let n = cfg.shards.max(1);
         let global = Arc::new(Global { live: AtomicUsize::new(0) });
-        let mut shareds = Vec::with_capacity(n);
-        for _ in 0..n {
-            shareds.push(Arc::new(Shared {
-                poller: Poller::new()?,
-                stop: AtomicBool::new(false),
-                mailbox: Mutex::new(Vec::new()),
-                inbox: Mutex::new(Inbox::default()),
-                exited: Mutex::new(false),
-                exited_cv: Condvar::new(),
-                global: Arc::clone(&global),
-                stats: Arc::new(ReactorShardStats::default()),
-                uring_stats: Arc::new(UringStats::default()),
-            }));
-        }
+        let peers =
+            (0..n).map(|_| Shared::new(&global).map(Arc::new)).collect::<io::Result<Vec<_>>>()?;
         // The uring backend accepts through a multishot SQE instead of
         // epoll readiness, so only the epoll backend registers the
         // listener with shard 0's poller.
-        let mut engines = Vec::new();
-        match backend {
-            Backend::Epoll => {
-                shareds[0].poller.add(listener.as_raw_fd(), LISTENER_KEY, Interest::READABLE)?;
-            }
-            Backend::Uring => {
-                for _ in 0..n {
-                    engines.push(uring::new_engine()?);
-                }
-            }
+        if backend == Backend::Epoll {
+            peers[0].poller.add(listener.as_raw_fd(), LISTENER_KEY, Interest::READABLE)?;
         }
-        let mut engines = engines.into_iter();
+        let (ready_tx, ready) = mpsc::channel::<io::Result<()>>();
+        let mut handle = Self { shards: Vec::with_capacity(n), global, backend };
+        // Declared after `handle`, so an early return drops the go
+        // senders first and the parked shards exit before the join.
+        let mut go = Vec::with_capacity(n);
         let mut listener = Some(listener);
-        let mut shards = Vec::with_capacity(n);
-        for (i, shared) in shareds.iter().enumerate() {
+        for (i, shared) in peers.iter().enumerate() {
             // Shard 0 keeps the listener itself — the fd moves with it,
             // so no re-registration races.
             let shard_listener = if i == 0 { listener.take() } else { None };
-            let thread = {
-                let shared_for_exit = Arc::clone(shared);
-                let peers = shareds.clone();
-                let server = Arc::clone(&server);
-                let cfg = cfg.clone();
-                let shared = Arc::clone(shared);
-                let engine = engines.next();
-                let name = match backend {
-                    Backend::Epoll => format!("psd-reactor-{i}"),
-                    Backend::Uring => format!("psd-uring-{i}"),
+            let (go_tx, go_rx) = mpsc::channel::<()>();
+            go.push(go_tx);
+            let (peers, server, cfg) = (peers.clone(), Arc::clone(&server), cfg.clone());
+            let (shared_for_exit, ready_tx) = (Arc::clone(shared), ready_tx.clone());
+            let name = match backend {
+                Backend::Epoll => format!("psd-reactor-{i}"),
+                Backend::Uring => format!("psd-uring-{i}"),
+            };
+            let thread = thread::Builder::new().name(name).spawn(move || {
+                let setup = match backend {
+                    Backend::Epoll => Ok(None),
+                    Backend::Uring => uring::new_engine().map(Some),
                 };
-                thread::Builder::new().name(name).spawn(move || {
-                    match engine {
-                        None => ShardLoop::new(shard_listener, peers, i, server, cfg, shared).run(),
-                        Some(engine) => {
-                            UringLoop::new(shard_listener, peers, i, server, cfg, shared, engine)
-                                .run()
+                match setup {
+                    Err(e) => drop(ready_tx.send(Err(e))),
+                    Ok(engine) => {
+                        let _ = ready_tx.send(Ok(()));
+                        if go_rx.recv().is_ok() {
+                            match engine {
+                                Some(engine) => {
+                                    let m = conn::Machine::new(peers, i, server, cfg, backend);
+                                    UringLoop::new(shard_listener, m, engine).run();
+                                }
+                                None => {
+                                    let m = conn::Machine::new(peers, i, server, cfg, backend);
+                                    ShardLoop::new(shard_listener, m).run();
+                                }
+                            }
                         }
                     }
-                    *shared_for_exit.exited.lock() = true;
-                    shared_for_exit.exited_cv.notify_all();
-                })?
-            };
-            shards.push((Arc::clone(shared), Some(thread)));
+                }
+                *shared_for_exit.exited.lock() = true;
+                shared_for_exit.exited_cv.notify_all();
+            })?;
+            handle.shards.push((Arc::clone(shared), Some(thread)));
         }
-        Ok(Self { shards, global, backend })
+        drop(ready_tx);
+        for _ in 0..n {
+            // A shard that died before reporting disconnects its sender.
+            ready.recv().unwrap_or_else(|_| Err(io::Error::other("reactor shard setup died")))?;
+        }
+        for tx in go {
+            let _ = tx.send(());
+        }
+        Ok(handle)
     }
 
     /// Which kernel interface this reactor's shards run on.
@@ -267,8 +290,7 @@ impl Handle {
 impl Drop for Handle {
     /// Dropping without a shutdown still stops every shard; in-flight
     /// PSD requests complete (the executors are alive until
-    /// `PsdServer::shutdown`) so the joins below converge, mirroring
-    /// the threaded engine's drop contract.
+    /// `PsdServer::shutdown`) so the joins below converge.
     fn drop(&mut self) {
         for (shared, _) in &self.shards {
             shared.stop.store(true, Ordering::SeqCst);

@@ -1,578 +1,209 @@
-//! One reactor shard: a single-threaded epoll event loop owning a
-//! subset of the connections (assigned round-robin by the accepting
-//! shard).
+//! One epoll reactor shard: a single-threaded readiness loop that
+//! executes the [`super::conn`] state machine's steps for a subset of
+//! the connections (assigned round-robin by the accepting shard).
 //!
-//! Per-connection state machine ([`Phase`]):
+//! The steps map onto registrations: [`Next::Read`] is read interest,
+//! [`Next::Write`] writes now and takes write interest only after a
+//! short write, and [`Next::Park`] deregisters the fd altogether.
+//! Deregistering — not registering with empty interest — matters:
+//! epoll reports ERR/HUP regardless of interest, so a client that
+//! aborts while its request is queued would otherwise level-trigger a
+//! busy loop until the PSD executor completes.
 //!
-//! * `Reading` — read interest; bytes feed the sans-io codec until a
-//!   full request (head + drained body) is parsed.
-//! * `Waiting` — no epoll interest at all: the request sits in the PSD
-//!   dispatch queue and the connection costs nothing. Pipelined bytes
-//!   stay in the kernel socket buffer (natural TCP backpressure, like
-//!   the blocked thread of the legacy engine). The PSD executor's
-//!   completion callback posts into this shard's mailbox and rings its
-//!   eventfd.
-//! * `Flushing` — write interest while [`WriteBuf`] drains; resumes at
-//!   the exact byte offset after every short write, then returns to
-//!   `Reading` (keep-alive) or closes.
-//!
-//! Idle policy: only *arriving or departing bytes* refresh a
-//! connection's clock, so both a silent keep-alive and a slow-loris
-//! drip-feeding a head are reaped after `idle_timeout` (the drip
-//! refreshes the clock per byte, but each head line is bounded, so the
-//! bounded parser plus the cap on connections bounds total exposure).
-//! `Waiting` connections are exempt — their latency belongs to the PSD
-//! queue, which is the thing under test.
-//!
-//! Allocation discipline: the loop owns every scratch buffer it uses
-//! (poller events, drained completions, handed-off streams, expiry key
-//! lists, the response-body scratch) and a pool of retired
-//! per-connection codec/write buffers, so steady-state event handling
-//! performs **no allocation per event** — `tests/reactor_alloc.rs`
-//! pins this with a counting global allocator. The clock is read once
-//! per loop iteration ([`ShardLoop::now`]) instead of per event.
+//! The loop owns its scratch (poller events, drained completions,
+//! handed-off streams), so steady-state event handling allocates
+//! nothing per event.
 
-use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 use polling::{Event, Interest};
-use psd_obs::ReactorShardStats;
 
-use crate::codec::{HttpRequest, RequestCodec, WriteBuf};
-use crate::httplite::{
-    bad_request, class_and_cost, record_shed_span, record_span, service_unavailable, shed_response,
-    write_ok_response,
-};
-use crate::server::{Completion, PsdServer};
-use crate::FrontendConfig;
+use crate::server::Completion;
 
-use super::{Shared, DRAIN_GRACE, LISTENER_KEY, TICK};
+use super::conn::{Machine, Next};
+use super::{Shared, LISTENER_KEY, TICK};
 
-/// How many retired (codec, write) buffer pairs a shard keeps for
-/// reuse by future connections.
-const POOL_CAP: usize = 256;
-
-/// Where a connection is in its request/response cycle.
-enum Phase {
-    /// Parsing the next request; read interest.
-    Reading,
-    /// Request submitted to the PSD queue; no epoll interest. `since`
-    /// is the coarse-clock instant of admission — the span's total
-    /// lifetime starts there.
-    Waiting { req: HttpRequest, class: usize, cost: f64, since: Instant },
-    /// Draining the write buffer; write interest.
-    Flushing { then_close: bool },
-}
-
-struct Conn {
+/// An epoll connection's I/O handle.
+pub(super) struct Sock {
     stream: TcpStream,
-    codec: RequestCodec,
-    out: WriteBuf,
-    phase: Phase,
-    /// Refreshed by transferred bytes only (see module docs), stamped
-    /// from the loop's coarse cached clock.
-    last_progress: Instant,
-    /// The interest currently registered with the poller, or `None`
-    /// while the fd is deregistered (`Waiting` phase). Deregistering —
-    /// not registering-with-empty-interest — matters: epoll reports
-    /// ERR/HUP regardless of interest, so a client that aborts while
-    /// its request is queued would otherwise level-trigger a busy loop
-    /// until the PSD executor completes.
+    /// The interest registered with the poller; `None` while parked.
     registration: Option<Interest>,
 }
 
 pub(super) struct ShardLoop {
     /// The accepting shard's listener (shard 0 only).
     listener: Option<TcpListener>,
-    /// Every shard's shared state, for round-robin handoffs.
-    peers: Vec<Arc<Shared>>,
-    self_index: usize,
-    rr_next: usize,
-    server: Arc<PsdServer>,
-    cfg: FrontendConfig,
     shared: Arc<Shared>,
-    conns: HashMap<usize, Conn>,
-    next_key: usize,
-    accepting: bool,
-    /// Coarse cached clock: read once per loop iteration, used for
-    /// every progress stamp and idle comparison in that iteration.
-    now: Instant,
-    /// Retired connection buffers, reused by future accepts.
-    pool: Vec<(Vec<u8>, Vec<u8>)>,
-    /// Response-body formatting scratch shared by every connection.
-    body_scratch: Vec<u8>,
-    /// Reused key list for idle sweeps / drains.
-    key_scratch: Vec<usize>,
-    /// This shard's loop counters (a clone of `shared.stats`).
-    stats: Arc<ReactorShardStats>,
-    /// Every shard's counters, in shard order, for the admin
-    /// exposition. Collected once at construction so building an
-    /// [`crate::admin::AdminInfo`] per request allocates nothing.
-    peer_stats: Vec<Arc<ReactorShardStats>>,
+    m: Machine<Sock>,
 }
 
 impl ShardLoop {
-    pub(super) fn new(
-        listener: Option<TcpListener>,
-        peers: Vec<Arc<Shared>>,
-        self_index: usize,
-        server: Arc<PsdServer>,
-        cfg: FrontendConfig,
-        shared: Arc<Shared>,
-    ) -> Self {
-        let accepting = listener.is_some();
-        let stats = Arc::clone(&shared.stats);
-        let peer_stats = peers.iter().map(|p| Arc::clone(&p.stats)).collect();
-        Self {
-            listener,
-            peers,
-            self_index,
-            rr_next: self_index,
-            server,
-            cfg,
-            shared,
-            conns: HashMap::new(),
-            next_key: LISTENER_KEY + 1,
-            accepting,
-            now: Instant::now(),
-            pool: Vec::new(),
-            body_scratch: Vec::new(),
-            key_scratch: Vec::new(),
-            stats,
-            peer_stats,
-        }
+    pub(super) fn new(listener: Option<TcpListener>, m: Machine<Sock>) -> Self {
+        Self { listener, shared: m.shared(), m }
     }
 
     pub(super) fn run(&mut self) {
-        // Loop-owned scratch, reused every iteration (the poller clears
-        // `events`; `completions`/`streams` are swapped with the shared
-        // vectors and drained, handing the capacity back and forth).
         let mut events: Vec<Event> = Vec::new();
         let mut completions: Vec<(usize, Completion)> = Vec::new();
         let mut streams: Vec<TcpStream> = Vec::new();
         loop {
-            let draining = self.shared.stop.load(Ordering::SeqCst);
-            if draining {
+            if self.m.draining() {
                 self.begin_drain();
-                if self.conns.is_empty() {
+                if self.m.is_empty() {
                     break;
                 }
             }
             if self.shared.poller.wait(&mut events, Some(TICK)).is_err() {
                 break; // poller gone: nothing recoverable
             }
-            // One clock read per iteration: every event handled below
-            // is stamped with this instant.
-            self.now = Instant::now();
-            self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
-            if !events.is_empty() {
-                self.stats.events.fetch_add(events.len() as u64, Ordering::Relaxed);
-            }
-            // Handed-off streams from the accepting shard.
-            if !self.shared.inbox.lock().streams.is_empty() {
-                std::mem::swap(&mut self.shared.inbox.lock().streams, &mut streams);
-                for stream in streams.drain(..) {
-                    self.adopt(stream);
-                }
+            self.m.tick();
+            self.m.count_events(events.len());
+            self.m.take_handoffs(&mut streams);
+            for stream in streams.drain(..) {
+                self.adopt(stream);
             }
             // Completions first: they free connections for new reads
-            // and are the latency-critical path. The swap drains the
-            // whole batch under one lock — paired with the
-            // first-into-empty-mailbox eventfd ring, a burst of
-            // completions costs one wakeup and one lock.
-            {
-                let mut mb = self.shared.mailbox.lock();
-                std::mem::swap(&mut *mb, &mut completions);
-            }
-            self.stats.record_drain(completions.len() as u64);
+            // and are the latency-critical path.
+            self.m.take_completions(&mut completions);
             for (key, done) in completions.drain(..) {
-                self.on_complete(key, done);
+                if let Some(next) = self.m.on_complete(key, done) {
+                    self.apply(key, next);
+                }
             }
             for ev in &events {
                 if ev.key == LISTENER_KEY {
                     self.accept_ready();
-                } else {
-                    if ev.readable {
-                        self.on_readable(ev.key);
-                    }
-                    if ev.writable {
-                        self.on_writable(ev.key);
-                    }
+                    continue;
+                }
+                if ev.readable && self.m.get(ev.key).is_some_and(|c| c.reading()) {
+                    self.on_readable(ev.key);
+                }
+                if ev.writable && self.m.get(ev.key).is_some_and(|c| c.flushing()) {
+                    self.flush(ev.key);
                 }
             }
-            self.sweep_idle();
+            let expired = self.m.expired_keys();
+            self.close_all(expired);
         }
-        // Loop exit: deregister what's left and release the server.
-        self.key_scratch.clear();
-        self.key_scratch.extend(self.conns.keys().copied());
-        let mut keys = std::mem::take(&mut self.key_scratch);
-        for key in keys.drain(..) {
-            self.close(key);
-        }
-        // Close the inbox under its lock — a racing handoff either
-        // lands before this drain (closed below) or observes `closed`
-        // and stays with the accepting shard — then release the live
-        // slots of anything never adopted.
-        let leftover = {
-            let mut inbox = self.shared.inbox.lock();
-            inbox.closed = true;
-            std::mem::take(&mut inbox.streams)
-        };
-        for stream in leftover {
-            drop(stream);
-            self.shared.global.live.fetch_sub(1, Ordering::SeqCst);
-        }
+        self.m.finish();
     }
 
-    /// First stop-flag observation: stop accepting and close *idle*
-    /// keep-alive connections. Connections mid-request — a partial head
-    /// or body still arriving (`Reading` + `is_mid_request`), queued in
-    /// the PSD dispatcher (`Waiting`), or flushing a response — serve
-    /// out, exactly like the threaded engine's drain; a stalled
-    /// mid-request client is bounded by [`Self::sweep_idle`]'s
-    /// tightened drain grace instead of wedging the drain.
+    /// Stop accepting and close idle keep-alives; the rest serve out.
     fn begin_drain(&mut self) {
-        if self.accepting {
-            self.accepting = false;
+        if self.m.stop_accepting() {
             if let Some(listener) = &self.listener {
                 let _ = self.shared.poller.delete(listener.as_raw_fd());
             }
         }
-        self.key_scratch.clear();
-        self.key_scratch.extend(
-            self.conns
-                .iter()
-                .filter(|(_, c)| matches!(c.phase, Phase::Reading) && !c.codec.is_mid_request())
-                .map(|(&k, _)| k),
-        );
-        let mut keys = std::mem::take(&mut self.key_scratch);
-        for key in keys.drain(..) {
+        let idle = self.m.drain_keys();
+        self.close_all(idle);
+    }
+
+    fn close_all(&mut self, keys: Vec<usize>) {
+        for &key in &keys {
             self.close(key);
         }
-        self.key_scratch = keys;
+        self.m.recycle(keys);
     }
 
     fn accept_ready(&mut self) {
-        if !self.accepting {
-            return;
-        }
-        // Temporarily take the listener so `adopt` can borrow `self`.
+        // Taken for the loop so `adopt` can borrow `self`.
         let Some(listener) = self.listener.take() else { return };
         loop {
             polling::count::bump(); // accept(2)
             match listener.accept() {
                 Ok((stream, _)) => {
-                    if self.shared.global.live.load(Ordering::SeqCst) >= self.cfg.max_connections {
-                        // Over cap: best-effort 503 without ever
-                        // blocking the loop (the socket buffer of a
-                        // fresh connection always fits 80 bytes; if it
-                        // somehow doesn't, the close alone is answer
-                        // enough).
-                        let mut stream = stream;
-                        let _ = stream.set_nonblocking(true);
-                        polling::count::bump(); // write(2)
-                        let _ = stream.write_all(&service_unavailable(true).to_bytes());
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                        continue;
-                    }
-                    self.shared.global.live.fetch_add(1, Ordering::SeqCst);
-                    self.stats.accepts.fetch_add(1, Ordering::Relaxed);
-                    // Round-robin assignment across shards; the target
-                    // shard registers the fd with its own poller.
-                    let target = self.rr_next % self.peers.len();
-                    self.rr_next = self.rr_next.wrapping_add(1);
-                    if target == self.self_index {
+                    if let Some(stream) = self.m.route_accept(stream) {
                         self.adopt(stream);
-                    } else {
-                        let peer = &self.peers[target];
-                        let refused = {
-                            let mut inbox = peer.inbox.lock();
-                            if inbox.closed {
-                                Some(stream)
-                            } else {
-                                inbox.streams.push(stream);
-                                None
-                            }
-                        };
-                        match refused {
-                            None => {
-                                let _ = peer.poller.notify();
-                            }
-                            // The peer exited (drain race): keep the
-                            // connection here instead of stranding it —
-                            // this shard serves or closes it like any
-                            // of its own.
-                            Some(stream) => self.adopt(stream),
-                        }
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break, // transient accept error: try next tick
+                Err(_) => break, // WouldBlock, or transient: next tick
             }
         }
         self.listener = Some(listener);
     }
 
-    /// Take ownership of an accepted (or handed-off) stream: register
-    /// it with this shard's poller and set up its connection state,
-    /// reusing pooled buffers when available.
     fn adopt(&mut self, stream: TcpStream) {
-        let key = self.next_key;
-        self.next_key += 1;
-        if self.shared.poller.add(stream.as_raw_fd(), key, Interest::READABLE).is_err() {
-            self.shared.global.live.fetch_sub(1, Ordering::SeqCst);
-            return;
+        let key = self.m.insert(Sock { stream, registration: None });
+        self.apply(key, Next::Read);
+    }
+
+    fn apply(&mut self, key: usize, next: Next) {
+        match next {
+            Next::Read => self.set_interest(key, Interest::READABLE),
+            Next::Write => self.flush(key),
+            Next::Park => {
+                let Some(conn) = self.m.get_mut(key) else { return };
+                if conn.io.registration.take().is_some() {
+                    let _ = self.shared.poller.delete(conn.io.stream.as_raw_fd());
+                }
+            }
+            Next::Close => self.close(key),
         }
-        let (read_buf, write_buf) = self.pool.pop().unwrap_or_default();
-        self.conns.insert(
-            key,
-            Conn {
-                stream,
-                codec: RequestCodec::with_buffer(read_buf),
-                out: WriteBuf::with_buffer(write_buf),
-                phase: Phase::Reading,
-                last_progress: self.now,
-                registration: Some(Interest::READABLE),
-            },
-        );
     }
 
     fn on_readable(&mut self, key: usize) {
-        let Some(conn) = self.conns.get_mut(&key) else { return };
-        if !matches!(conn.phase, Phase::Reading) {
-            return; // stale event for a Waiting/Flushing connection
-        }
         let mut chunk = [0u8; 8192];
         loop {
+            let Some(conn) = self.m.get_mut(key) else { return };
             polling::count::bump(); // read(2)
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.close(key);
-                    return;
-                }
-                Ok(n) => {
-                    conn.codec.feed(&chunk[..n]);
-                    conn.last_progress = self.now;
-                    match conn.codec.poll() {
-                        Ok(Some(req)) => {
-                            self.begin_request(key, req);
-                            return;
-                        }
-                        Ok(None) => {} // need more bytes
-                        Err(_) => {
-                            conn.out.push_response(&bad_request());
-                            conn.phase = Phase::Flushing { then_close: true };
-                            self.flush(key);
-                            return;
-                        }
-                    }
-                }
+            let next = match conn.io.stream.read(&mut chunk) {
+                Ok(0) => Next::Close,
+                Ok(n) => match self.m.on_read(key, &chunk[..n]) {
+                    Next::Read => continue, // need more bytes
+                    next => next,
+                },
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(key);
-                    return;
-                }
-            }
+                Err(_) => Next::Close,
+            };
+            return self.apply(key, next);
         }
     }
 
-    /// Hand a parsed request to the PSD queue and park the connection
-    /// (fd deregistered from epoll) until the executor's callback rings
-    /// back. Admin routes and admission-shed requests short-circuit to
-    /// an immediate response — they never touch the queue.
-    fn begin_request(&mut self, key: usize, req: HttpRequest) {
-        let draining = self.shared.stop.load(Ordering::SeqCst);
-        let keep = req.keep_alive() && req.framed() && !draining;
-        let info = crate::admin::AdminInfo {
-            engine: "reactor",
-            shard_stats: &self.peer_stats,
-            uring_stats: &[],
-        };
-        if let Some(resp) = crate::admin::handle(&self.server, &req, keep, &info) {
-            let Some(conn) = self.conns.get_mut(&key) else { return };
-            conn.out.push_response(&resp);
-            conn.phase = Phase::Flushing { then_close: !resp.keep_alive };
-            self.flush(key);
-            return;
-        }
-        let (class, cost) = class_and_cost(&self.server, &req, self.cfg.default_cost);
-        if !self.server.admit(class, cost) {
-            record_shed_span(&self.server, self.self_index, class, cost);
-            let Some(conn) = self.conns.get_mut(&key) else { return };
-            conn.out.push_response(&shed_response(req.http11));
-            conn.phase = Phase::Flushing { then_close: true };
-            self.flush(key);
-            return;
-        }
-        let http11 = req.http11;
-        let since = self.now;
-        let Some(conn) = self.conns.get_mut(&key) else { return };
-        conn.phase = Phase::Waiting { req, class, cost, since };
-        if conn.registration.take().is_some() {
-            let _ = self.shared.poller.delete(conn.stream.as_raw_fd());
-        }
-        let shared = Arc::clone(&self.shared);
-        let submitted = self.server.submit_async(class, cost, move |done| {
-            shared.post_completion(key, done);
-        });
-        if !submitted {
-            // Server already shutting down: answer 503 and close.
-            let Some(conn) = self.conns.get_mut(&key) else { return };
-            conn.out.push_response(&service_unavailable(http11));
-            conn.phase = Phase::Flushing { then_close: true };
-            self.flush(key);
-        }
-    }
-
-    /// A PSD executor finished this connection's request: encode the
-    /// response and start flushing.
-    fn on_complete(&mut self, key: usize, done: Completion) {
-        let draining = self.shared.stop.load(Ordering::SeqCst);
-        let Some(conn) = self.conns.get_mut(&key) else { return };
-        if !matches!(conn.phase, Phase::Waiting { .. }) {
-            return; // stale completion for a recycled state: ignore
-        }
-        let Phase::Waiting { req, class, cost, since } =
-            std::mem::replace(&mut conn.phase, Phase::Reading)
-        else {
-            unreachable!("checked above");
-        };
-        // Stop keeping alive once a drain began so shutdown converges;
-        // unframed bodies force a close too.
-        let keep = req.keep_alive() && req.framed() && !draining;
-        let scratch = &mut self.body_scratch;
-        conn.out.append_with(|out| write_ok_response(out, scratch, &req, class, cost, &done, keep));
-        // Span assembled once at respond time: the write-back stage is
-        // the mailbox + wakeup delivery latency (total minus queueing
-        // minus service), measured on the coarse per-iteration clock.
-        let total = self.now.saturating_duration_since(since);
-        record_span(&self.server, self.self_index, class, cost, &done, total);
-        conn.phase = Phase::Flushing { then_close: !keep };
-        self.flush(key);
-    }
-
-    fn on_writable(&mut self, key: usize) {
-        if matches!(self.conns.get(&key), Some(c) if matches!(c.phase, Phase::Flushing { .. })) {
-            self.flush(key);
-        }
-    }
-
-    /// Drive the write buffer; on drain, close or hand the connection
-    /// back to the read path (serving any pipelined request already
-    /// buffered in the codec).
     fn flush(&mut self, key: usize) {
-        let Some(conn) = self.conns.get_mut(&key) else { return };
-        let Phase::Flushing { then_close } = conn.phase else { return };
+        let Some(conn) = self.m.get_mut(key) else { return };
         let before = conn.out.pending();
         // One bump per flush attempt (flush_into may issue several
         // write(2)s — undercounting epoll is the conservative side of
         // the syscall-gate comparison).
         polling::count::bump();
-        match conn.out.flush_into(&mut conn.stream) {
-            Ok(true) => {
-                conn.last_progress = self.now;
-                if then_close {
-                    self.close(key);
-                    return;
-                }
-                conn.phase = Phase::Reading;
-                self.set_interest(key, Interest::READABLE);
-                // A pipelined request may already be parseable without
-                // another byte arriving.
-                let Some(conn) = self.conns.get_mut(&key) else { return };
-                match conn.codec.poll() {
-                    Ok(Some(req)) => self.begin_request(key, req),
-                    Ok(None) => {}
-                    Err(_) => {
-                        let Some(conn) = self.conns.get_mut(&key) else { return };
-                        conn.out.push_response(&bad_request());
-                        conn.phase = Phase::Flushing { then_close: true };
-                        self.flush(key);
-                    }
-                }
-            }
-            Ok(false) => {
-                if conn.out.pending() < before {
-                    conn.last_progress = self.now; // partial progress
-                }
-                self.set_interest(key, Interest::WRITABLE);
-            }
-            Err(_) => self.close(key),
+        let Ok(drained) = conn.out.flush_into(&mut conn.io.stream) else {
+            return self.close(key);
+        };
+        let wrote = before - conn.out.pending();
+        match self.m.on_written(key, wrote) {
+            Next::Write if !drained => self.set_interest(key, Interest::WRITABLE),
+            next => self.apply(key, next),
         }
     }
 
-    /// Reap connections that made no byte progress for `idle_timeout`:
-    /// silent keep-alives, slow-loris heads, and clients that stopped
-    /// reading their response. `Waiting` connections are exempt (their
-    /// time belongs to the PSD queue). During a drain the grace
-    /// tightens to [`DRAIN_GRACE`] so one stalled mid-request client
-    /// cannot pin the shutdown to the full idle timeout.
-    fn sweep_idle(&mut self) {
-        let mut timeout = self.cfg.idle_timeout;
-        if self.shared.stop.load(Ordering::SeqCst) {
-            timeout = timeout.min(DRAIN_GRACE);
-        }
-        let now = self.now;
-        self.key_scratch.clear();
-        self.key_scratch.extend(
-            self.conns
-                .iter()
-                .filter(|(_, c)| {
-                    !matches!(c.phase, Phase::Waiting { .. })
-                        && now.saturating_duration_since(c.last_progress) >= timeout
-                })
-                .map(|(&k, _)| k),
-        );
-        self.stats.sweeps.fetch_add(1, Ordering::Relaxed);
-        if !self.key_scratch.is_empty() {
-            self.stats.swept.fetch_add(self.key_scratch.len() as u64, Ordering::Relaxed);
-        }
-        let mut keys = std::mem::take(&mut self.key_scratch);
-        for key in keys.drain(..) {
-            self.close(key);
-        }
-        self.key_scratch = keys;
-    }
-
-    /// (Re)register the connection's fd with `interest`, adding it back
-    /// if it was parked during `Waiting`.
+    /// (Re)register the fd with `interest`, adding it back if parked.
     fn set_interest(&mut self, key: usize, interest: Interest) {
-        let Some(conn) = self.conns.get_mut(&key) else { return };
-        let fd = conn.stream.as_raw_fd();
-        let result = match conn.registration {
+        let Some(conn) = self.m.get_mut(key) else { return };
+        let fd = conn.io.stream.as_raw_fd();
+        let result = match conn.io.registration {
             Some(current) if current == interest => return,
             Some(_) => self.shared.poller.modify(fd, key, interest),
             None => self.shared.poller.add(fd, key, interest),
         };
-        if result.is_err() {
-            // Registration lost (shouldn't happen): drop the
-            // connection rather than wedge it.
-            self.close(key);
-            return;
+        match result {
+            Ok(()) => conn.io.registration = Some(interest),
+            // Registration lost (shouldn't happen): drop the connection
+            // rather than wedge it.
+            Err(_) => self.close(key),
         }
-        conn.registration = Some(interest);
     }
 
     fn close(&mut self, key: usize) {
-        if let Some(conn) = self.conns.remove(&key) {
-            if conn.registration.is_some() {
-                let _ = self.shared.poller.delete(conn.stream.as_raw_fd());
+        if let Some(sock) = self.m.remove(key) {
+            if sock.registration.is_some() {
+                let _ = self.shared.poller.delete(sock.stream.as_raw_fd());
             }
-            // Retire the connection's buffers into the shard pool so
-            // the next accept starts warm.
-            if self.pool.len() < POOL_CAP {
-                self.pool.push((conn.codec.into_buffer(), conn.out.into_buffer()));
-            }
-            self.shared.global.live.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }

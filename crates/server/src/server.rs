@@ -373,8 +373,7 @@ impl PsdServer {
     }
 
     /// Submit and receive a [`Completion`] receipt when the request has
-    /// executed (used by the threaded HTTP front-end, which parks the
-    /// connection's thread until then).
+    /// executed, blocking the calling thread until then.
     pub fn submit_sync(&self, class: usize, cost: f64) -> Option<Completion> {
         let (tx, rx) = crossbeam::channel::bounded(1);
         if !self.submit_inner(class, cost, CompletionNotify::Channel(tx)) {

@@ -134,7 +134,7 @@ fn teardown(fe: HttpFrontend, server: Arc<PsdServer>) {
 /// validation errors, and the epoch bump of a hot reconfiguration.
 #[test]
 fn admin_routes_serve_on_both_engines() {
-    for engine in [EngineKind::Threads, EngineKind::Reactor] {
+    for engine in [EngineKind::Reactor, EngineKind::Uring] {
         let (fe, server) = start_frontend(
             engine,
             ServerConfig {
@@ -230,7 +230,7 @@ fn hot_reconfig_applies_at_a_window_boundary() {
 /// the monitor out of the way) so the test is deterministic.
 #[test]
 fn shed_responses_are_503_with_close_on_both_engines() {
-    for engine in [EngineKind::Threads, EngineKind::Reactor] {
+    for engine in [EngineKind::Reactor, EngineKind::Uring] {
         let (fe, server) = start_frontend(
             engine,
             ServerConfig {

@@ -1,6 +1,5 @@
 //! End-to-end observability: scrape every observability route over
-//! real TCP on **all three** engines while the server is shedding
-//! load, and
+//! real TCP on **both** engines while the server is shedding load, and
 //! validate the bodies with the same `psd-obs` parsers offline tooling
 //! uses. Also pins the satellite contract that every admin response
 //! carries an explicit `Content-Type`.
@@ -67,7 +66,7 @@ fn teardown(fe: HttpFrontend, server: Arc<PsdServer>) {
 /// back to epoll and the engine-token assertions below would lie).
 #[test]
 fn observability_routes_scrape_mid_overload() {
-    for engine in [EngineKind::Threads, EngineKind::Reactor, EngineKind::Uring] {
+    for engine in [EngineKind::Reactor, EngineKind::Uring] {
         if engine == EngineKind::Uring && !psd_server::uring_available() {
             eprintln!("skipping uring case: io_uring unavailable on this kernel");
             continue;
@@ -124,12 +123,8 @@ fn observability_routes_scrape_mid_overload() {
         let hz = get(addr, "/healthz");
         let hz_body = body(&hz);
         assert!(hz_body.contains("\"status\":\"ok\""), "{engine:?}: {hz_body}");
-        let token = match engine {
-            EngineKind::Threads => "\"engine\":\"threads\"",
-            EngineKind::Reactor => "\"engine\":\"reactor\"",
-            EngineKind::Uring => "\"engine\":\"uring\"",
-        };
-        assert!(hz_body.contains(token), "{engine:?}: {hz_body}");
+        let token = format!("\"engine\":\"{}\"", engine.as_str());
+        assert!(hz_body.contains(&token), "{engine:?}: {hz_body}");
         assert!(hz_body.contains("\"classes\":2"), "{engine:?}: {hz_body}");
 
         // The span ring fills asynchronously with the response write;
@@ -186,20 +181,10 @@ fn observability_routes_scrape_mid_overload() {
         );
         let shard_metrics = samples.iter().any(|s| s.name == "psd_reactor_accepts_total");
         let uring_metrics = samples.iter().any(|s| s.name == "psd_uring_enters_total");
-        match engine {
-            EngineKind::Reactor | EngineKind::Uring => {
-                assert!(shard_metrics, "{engine:?} must expose per-shard loop counters");
-                let accepts: f64 = samples
-                    .iter()
-                    .filter(|s| s.name == "psd_reactor_accepts_total")
-                    .map(|s| s.value)
-                    .sum();
-                assert!(accepts >= 9.0, "accepts across shards: {accepts}");
-            }
-            EngineKind::Threads => {
-                assert!(!shard_metrics, "threads engine has no reactor shards");
-            }
-        }
+        assert!(shard_metrics, "{engine:?} must expose per-shard loop counters");
+        let accepts: f64 =
+            samples.iter().filter(|s| s.name == "psd_reactor_accepts_total").map(|s| s.value).sum();
+        assert!(accepts >= 9.0, "accepts across shards: {accepts}");
         match engine {
             EngineKind::Uring => {
                 assert!(uring_metrics, "uring engine must expose ring counters");
@@ -252,7 +237,7 @@ fn flight_recorder_captures_live_control_windows() {
     let fe = HttpFrontend::start_with(
         "127.0.0.1:0",
         Arc::clone(&server),
-        FrontendConfig { engine: EngineKind::Threads, shards: 1, ..FrontendConfig::default() },
+        FrontendConfig { shards: 1, ..FrontendConfig::default() },
     )
     .expect("bind");
     let addr = fe.addr();

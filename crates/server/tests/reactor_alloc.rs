@@ -76,11 +76,9 @@ fn exchange(s: &mut TcpStream, req: &[u8], buf: &mut [u8]) {
     }
 }
 
-/// Steady-state requests through reactor + wheel allocate O(1) — a
-/// small constant per request, with no dependence on event count,
-/// connection count or payload reads.
-#[test]
-fn steady_state_request_allocations_are_bounded() {
+/// Steady-state keep-alive requests per heap allocation through the
+/// reactor on `engine` + the wheel, after a warmup.
+fn allocations_per_request(engine: EngineKind) -> f64 {
     let server = Arc::new(PsdServer::start(ServerConfig {
         deltas: vec![1.0, 2.0],
         work_unit: Duration::from_micros(100),
@@ -95,9 +93,10 @@ fn steady_state_request_allocations_are_bounded() {
     let fe = HttpFrontend::start_with(
         "127.0.0.1:0",
         Arc::clone(&server),
-        FrontendConfig { engine: EngineKind::Reactor, shards: 1, ..FrontendConfig::default() },
+        FrontendConfig { engine, shards: 1, ..FrontendConfig::default() },
     )
     .expect("bind reactor");
+    assert_eq!(fe.engine(), engine, "no silent fallback");
 
     let mut s = TcpStream::connect(fe.addr()).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -117,19 +116,39 @@ fn steady_state_request_allocations_are_bounded() {
         exchange(&mut s, req, &mut buf);
     }
     let per_request = (ALLOCS.load(Ordering::Relaxed) - before) as f64 / MEASURED as f64;
-    eprintln!("steady-state allocations/request: {per_request:.2}");
-
-    // Unavoidable today: request method + path Strings (2), the boxed
-    // submit_async callback (1), plus amortized noise. The bound has
-    // ~3× headroom over that floor but sits far below the ~15+ of the
-    // pre-pooling path — any reintroduced per-event allocation
-    // (scratch growth, head-line Strings, response building) trips it.
-    assert!(
-        per_request <= 10.0,
-        "steady-state request costs {per_request:.1} allocations — the hot path regressed"
-    );
+    eprintln!("{engine:?} steady-state allocations/request: {per_request:.2}");
 
     drop(s);
     assert_eq!(fe.shutdown(Duration::from_secs(10)).expect("drain"), 0);
     Arc::try_unwrap(server).ok().expect("released").shutdown();
+    per_request
+}
+
+/// Steady-state requests through reactor + wheel allocate O(1) — a
+/// small constant per request, with no dependence on event count,
+/// connection count or payload reads — on both I/O planes, which run
+/// the same connection state machine. The uring case self-skips on
+/// kernels without io_uring.
+#[test]
+fn steady_state_request_allocations_are_bounded() {
+    let mut engines = vec![EngineKind::Reactor];
+    if psd_server::uring_available() {
+        engines.push(EngineKind::Uring);
+    } else {
+        eprintln!("skipping uring case: io_uring unavailable on this kernel");
+    }
+    for engine in engines {
+        let per_request = allocations_per_request(engine);
+        // Unavoidable today: request method + path Strings (2), the
+        // boxed submit_async callback (1), plus amortized noise. The
+        // bound has ~3× headroom over that floor but sits far below the
+        // ~15+ of the pre-pooling path — any reintroduced per-event
+        // allocation (scratch growth, head-line Strings, response
+        // building) trips it.
+        assert!(
+            per_request <= 10.0,
+            "{engine:?}: steady-state request costs {per_request:.1} allocations — \
+             the hot path regressed"
+        );
+    }
 }

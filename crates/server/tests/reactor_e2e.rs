@@ -1,9 +1,9 @@
 //! End-to-end tests for the reactor front-end — on **both** of its
 //! backends: the sharded epoll event loops and the io_uring completion
-//! engine. Real sockets, the real PSD queue, and the concurrency
-//! levels the thread-per-connection baseline cannot reach on a bounded
-//! thread count. Every uring case self-skips (with a note) on kernels
-//! that refuse io_uring, where the frontend would silently serve epoll.
+//! engine. Real sockets, the real PSD queue, and concurrency levels a
+//! thread per connection could not reach on a bounded thread count.
+//! Every uring case self-skips (with a note) on kernels that refuse
+//! io_uring, where the frontend would silently serve epoll.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -23,13 +23,6 @@ fn reactor_backends() -> Vec<EngineKind> {
     } else {
         eprintln!("skipping uring cases: io_uring unavailable on this kernel");
     }
-    v
-}
-
-/// All engines testable on this kernel (wire-parity suites).
-fn all_engines() -> Vec<EngineKind> {
-    let mut v = vec![EngineKind::Threads];
-    v.extend(reactor_backends());
     v
 }
 
@@ -147,7 +140,7 @@ fn run_concurrent_rounds(engine: EngineKind, conns: usize, rounds: usize, shards
 }
 
 /// The tentpole claim: ≥512 concurrent keep-alive connections on ONE
-/// reactor thread (the threaded baseline would need 512 OS threads) —
+/// reactor thread (a thread per connection would need 512 of them) —
 /// on either backend. Every connection makes two request rounds — the
 /// second proves the connections all stayed alive concurrently, not
 /// serially. On the uring backend this also exercises the overflow
@@ -294,11 +287,11 @@ fn pipelined_requests_answered_in_order() {
     }
 }
 
-/// All engines speak the same protocol: identical request scripts get
-/// equivalent responses (modulo timing header values).
+/// Both backends speak the same protocol: identical request scripts
+/// get equivalent responses (modulo timing header values).
 #[test]
 fn engines_agree_on_the_wire_protocol() {
-    for engine in all_engines() {
+    for engine in reactor_backends() {
         let server = quick_server(vec![1.0, 2.0]);
         let fe = HttpFrontend::start_with(
             "127.0.0.1:0",
@@ -332,7 +325,7 @@ fn engines_agree_on_the_wire_protocol() {
 /// review-verified crash.
 #[test]
 fn non_finite_cost_is_clamped_not_fatal() {
-    for engine in all_engines() {
+    for engine in reactor_backends() {
         let server = quick_server(vec![1.0]);
         let fe = HttpFrontend::start_with(
             "127.0.0.1:0",

@@ -2,14 +2,13 @@
 //! on real threads and the HTTP-lite front-end over a loopback socket.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use psd::dist::{Deterministic, ServiceDist};
 use psd::server::driver::{drive, ClassTraffic};
-use psd::server::{httplite, PsdServer, SchedulerKind, ServerConfig, Workload};
+use psd::server::{HttpFrontend, PsdServer, SchedulerKind, ServerConfig, Workload};
 
 fn server_cfg(deltas: Vec<f64>) -> ServerConfig {
     ServerConfig { deltas, work_unit: Duration::from_micros(150), ..ServerConfig::default() }
@@ -52,14 +51,8 @@ fn threaded_server_differentiates() {
 #[test]
 fn httplite_roundtrip() {
     let server = Arc::new(PsdServer::start(server_cfg(vec![1.0, 2.0])));
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().unwrap();
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept_thread = {
-        let server = Arc::clone(&server);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || httplite::serve(listener, server, 1.0, stop))
-    };
+    let fe = HttpFrontend::start("127.0.0.1:0", Arc::clone(&server), 1.0).expect("bind loopback");
+    let addr = fe.addr();
 
     let fetch = |path: &str, header: Option<&str>| -> (String, Vec<String>) {
         let mut s = TcpStream::connect(addr).expect("connect");
@@ -93,8 +86,7 @@ fn httplite_roundtrip() {
     // Default class is the last one (1 here).
     assert!(headers.iter().any(|h| h == "X-Class: 1"), "{headers:?}");
 
-    stop.store(true, Ordering::SeqCst);
-    accept_thread.join().unwrap().expect("accept loop clean exit");
+    assert_eq!(fe.shutdown(Duration::from_secs(10)).expect("clean drain"), 0);
     Arc::try_unwrap(server).ok().expect("handlers done").shutdown();
 }
 
